@@ -6,8 +6,8 @@
 //! pure dispatch: pick the system, boot its cluster, hand each node's
 //! handle to the same [`DsmProgram`].
 
-use lots_core::{run_cluster, AnalyzeConfig, ClusterOptions, LotsConfig, RaceReport};
-use lots_jiajia::{run_jiajia_cluster, JiaOptions};
+use lots_core::{run_cluster, AnalyzeConfig, LotsConfig, Options, Protocol, RaceReport};
+use lots_jiajia::run_jiajia_cluster;
 use lots_sim::{
     FaultPlan, MachineConfig, SchedulerMode, SimDuration, SimInstant, TimeCategory, Topology,
 };
@@ -111,6 +111,23 @@ impl RunConfig {
         self.topology = topology;
         self
     }
+
+    /// Cluster options for protocol `P` carrying this run's settings.
+    fn options<P: Protocol>(&self, arg: P::Arg) -> Options<P> {
+        let mut opts = Options::new(self.n, arg, self.machine)
+            .with_seed(self.seed)
+            .with_scheduler(self.scheduler)
+            .with_faults(self.faults.clone())
+            .with_topology(self.topology.clone())
+            .with_analyze(self.analyze);
+        if let Some(p) = &self.persist {
+            opts = opts.with_persist(p.clone());
+        }
+        if let Some(store) = &self.persist_store {
+            opts = opts.with_persist_store(store.clone());
+        }
+        opts
+    }
 }
 
 /// Harvested measurements of one run.
@@ -210,7 +227,8 @@ pub struct RunOutcome {
     pub time_disk: SimDuration,
     /// Summed node time in application compute.
     pub time_compute: SimDuration,
-    /// Whole-run scheduler counters (`None` under free-running mode).
+    /// Whole-run scheduler counters (always `Some`, see
+    /// [`lots_core::Report::sched`]).
     /// `turns`/`wakes`/`epochs` are pure functions of the simulated
     /// schedule and agree between `Deterministic` and `Parallel`;
     /// `max_concurrent`/`worker_busy_ns` describe host execution only.
@@ -251,19 +269,7 @@ pub fn run_app<P: DsmProgram>(cfg: &RunConfig, prog: P) -> RunOutcome {
                 LotsConfig::lots_x(cfg.dmm_bytes)
             };
             (cfg.lots_tweak)(&mut lots);
-            if let Some(p) = &cfg.persist {
-                lots = lots.with_persist(p.clone());
-            }
-            let mut opts = ClusterOptions::new(cfg.n, lots, cfg.machine)
-                .with_seed(cfg.seed)
-                .with_scheduler(cfg.scheduler)
-                .with_faults(cfg.faults.clone())
-                .with_topology(cfg.topology.clone())
-                .with_analyze(cfg.analyze);
-            if let Some(store) = &cfg.persist_store {
-                opts = opts.with_persist_store(store.clone());
-            }
-            let (results, report) = run_cluster(opts, move |dsm| prog.run(dsm));
+            let (results, report) = run_cluster(cfg.options(lots), move |dsm| prog.run(dsm));
             let sum = |cat: TimeCategory| -> SimDuration {
                 SimDuration(report.nodes.iter().map(|n| n.stats.time_in(cat).0).sum())
             };
@@ -322,18 +328,7 @@ pub fn run_app<P: DsmProgram>(cfg: &RunConfig, prog: P) -> RunOutcome {
             }
         }
         System::Jiajia => {
-            let mut opts = JiaOptions::new(cfg.n, cfg.shared_bytes, cfg.machine)
-                .with_seed(cfg.seed)
-                .with_scheduler(cfg.scheduler)
-                .with_faults(cfg.faults.clone())
-                .with_topology(cfg.topology.clone())
-                .with_analyze(cfg.analyze);
-            if let Some(p) = &cfg.persist {
-                opts = opts.with_persist(p.clone());
-            }
-            if let Some(store) = &cfg.persist_store {
-                opts = opts.with_persist_store(store.clone());
-            }
+            let opts = cfg.options(cfg.shared_bytes);
             let (results, report) = run_jiajia_cluster(opts, move |dsm| prog.run(dsm));
             let sum = |cat: TimeCategory| -> SimDuration {
                 SimDuration(report.nodes.iter().map(|n| n.stats.time_in(cat).0).sum())

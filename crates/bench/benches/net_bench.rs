@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use lots_net::{cluster, Recv, WireSize};
+use lots_net::{cluster, WireSize};
 use lots_sim::{NetModel, SimDuration, SimInstant};
 
 #[derive(Debug, Clone)]
@@ -40,13 +40,9 @@ fn bench_net(c: &mut Criterion) {
                 let payload: Bytes = vec![0xAB; size].into();
                 b.iter(|| {
                     tx1.send(0, Hdr, payload.clone(), SimInstant(0));
-                    match rx0.recv_timeout(std::time::Duration::from_secs(5)) {
-                        Recv::Message(env) => {
-                            assert_eq!(env.payload.len(), size);
-                            std::hint::black_box(env.fragments)
-                        }
-                        _ => panic!("message lost"),
-                    }
+                    let env = rx0.try_recv().expect("message lost");
+                    assert_eq!(env.payload.len(), size);
+                    std::hint::black_box(env.fragments)
                 })
             },
         );

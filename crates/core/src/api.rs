@@ -58,7 +58,7 @@ use std::ops::{Deref, DerefMut, Range};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, TryRecvError};
+use crossbeam::channel::Receiver;
 use lots_analyze::RaceDetector;
 use lots_net::{Envelope, NetSender, NodeId, TrafficStats};
 use lots_sim::{CrashFault, NodeStats, SimInstant, TimeCategory};
@@ -1144,26 +1144,7 @@ impl Dsm {
     }
 
     fn recv_reply(&self) -> Envelope<Msg> {
-        if let Some(h) = &self.ctx.sched {
-            // Engine modes: park on the scheduler; the comm task wakes
-            // us (with the reply's arrival time) after it forwards the
-            // envelope. The `Reply` reason tells the conservative
-            // lock-grant gate this task cannot issue a lock request
-            // before the reply's (lookahead-bounded) arrival.
-            loop {
-                match self.replies.try_recv() {
-                    Ok(env) => return env,
-                    Err(TryRecvError::Empty) => h.block_with(lots_sim::BlockReason::Reply),
-                    Err(TryRecvError::Disconnected) => {
-                        panic!("comm thread gone while app waiting for a reply")
-                    }
-                }
-            }
-        } else {
-            self.replies
-                .recv()
-                .expect("comm thread alive while app running")
-        }
+        crate::harness::recv_reply(&self.replies, &self.ctx.sched)
     }
 }
 

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use lots_net::NodeId;
 use lots_sim::{BlockReason, SchedHandle, SimDuration, SimInstant, TimeCategory};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::object::{NamedAllocReq, ObjectId};
 use crate::protocol::messages::ctl;
@@ -135,7 +135,7 @@ struct BState {
     /// waiter must unblock and propagate instead of waiting for a
     /// rendezvous that can never complete.
     poisoned: bool,
-    /// Deterministic mode: tasks parked in any of the three rendezvous
+    /// Tasks parked in any of the three rendezvous
     /// (they re-register on every spurious wake, so one shared list
     /// suffices). Drained and woken by whoever completes a rendezvous
     /// or poisons the service.
@@ -148,7 +148,6 @@ pub struct BarrierService {
     migration: bool,
     locks: Arc<LockService>,
     state: Mutex<BState>,
-    cv: Condvar,
 }
 
 impl BarrierService {
@@ -182,7 +181,6 @@ impl BarrierService {
                 poisoned: false,
                 sched_waiters: Vec::new(),
             }),
-            cv: Condvar::new(),
         }
     }
 
@@ -197,20 +195,12 @@ impl BarrierService {
     pub fn poison(&self) {
         let mut st = self.state.lock();
         st.poisoned = true;
-        self.cv.notify_all();
-        Self::wake_sched(&mut st);
+        super::wake_all(&mut st.sched_waiters);
     }
 
     fn check_poison(st: &BState) {
         if st.poisoned {
             panic!("barrier poisoned: a peer app thread panicked (see its panic above)");
-        }
-    }
-
-    /// Wake every turnstile-parked waiter (deterministic mode).
-    fn wake_sched(st: &mut BState) {
-        for w in st.sched_waiters.drain(..) {
-            w.wake();
         }
     }
 
@@ -270,16 +260,10 @@ impl BarrierService {
             st.frees.clear();
             st.named.clear();
             st.gen_a += 1;
-            self.cv.notify_all();
-            Self::wake_sched(&mut st);
-        } else if let Some(h) = ctx.sched.clone() {
-            while st.gen_a == my_gen {
-                st = self.sched_wait(st, &h);
-                Self::check_poison(&st);
-            }
+            super::wake_all(&mut st.sched_waiters);
         } else {
             while st.gen_a == my_gen {
-                self.cv.wait(&mut st);
+                st = self.sched_wait(st, &ctx.sched);
                 Self::check_poison(&st);
             }
         }
@@ -406,16 +390,10 @@ impl BarrierService {
             st.drain_max = SimInstant::ZERO;
             st.drain_last = LastArriver::ZERO;
             st.gen_b += 1;
-            self.cv.notify_all();
-            Self::wake_sched(&mut st);
-        } else if let Some(h) = ctx.sched.clone() {
-            while st.gen_b == my_gen {
-                st = self.sched_wait(st, &h);
-                Self::check_poison(&st);
-            }
+            super::wake_all(&mut st.sched_waiters);
         } else {
             while st.gen_b == my_gen {
-                self.cv.wait(&mut st);
+                st = self.sched_wait(st, &ctx.sched);
                 Self::check_poison(&st);
             }
         }
@@ -448,16 +426,10 @@ impl BarrierService {
             st.run_max = SimInstant::ZERO;
             st.run_last = LastArriver::ZERO;
             st.gen_r += 1;
-            self.cv.notify_all();
-            Self::wake_sched(&mut st);
-        } else if let Some(h) = ctx.sched.clone() {
-            while st.gen_r == my_gen {
-                st = self.sched_wait(st, &h);
-                Self::check_poison(&st);
-            }
+            super::wake_all(&mut st.sched_waiters);
         } else {
             while st.gen_r == my_gen {
-                self.cv.wait(&mut st);
+                st = self.sched_wait(st, &ctx.sched);
                 Self::check_poison(&st);
             }
         }
@@ -476,21 +448,7 @@ impl BarrierService {
 mod tests {
     use super::*;
     use crate::config::{DiffMode, LockProtocol};
-    use lots_net::TrafficStats;
-    use lots_sim::machine::{fast_ethernet, pentium4_2ghz};
-    use lots_sim::{NodeStats, SimClock};
-
-    fn ctx(me: NodeId) -> SyncCtx {
-        SyncCtx {
-            me,
-            clock: SimClock::new(),
-            stats: NodeStats::new(),
-            traffic: TrafficStats::new(),
-            net: fast_ethernet(),
-            cpu: pentium4_2ghz(),
-            sched: None,
-        }
-    }
+    use crate::consistency::run_participants;
 
     fn service(n: usize, migration: bool) -> Arc<BarrierService> {
         let locks = Arc::new(LockService::new(
@@ -501,7 +459,8 @@ mod tests {
         Arc::new(BarrierService::new(n, migration, locks))
     }
 
-    /// Run one barrier round across threads; returns each node's plan.
+    /// Run one barrier round, one participant per node; returns each
+    /// node's plan.
     fn round(
         svc: &Arc<BarrierService>,
         notices: Vec<Vec<Notice>>,
@@ -517,17 +476,12 @@ mod tests {
         svc: &Arc<BarrierService>,
         inputs: Vec<(Vec<Notice>, Vec<ObjectId>, Vec<NamedAllocReq>)>,
     ) -> Vec<(Arc<BarrierPlan>, SimInstant)> {
-        let mut handles = Vec::new();
-        for (me, (n, frees, named)) in inputs.into_iter().enumerate() {
-            let svc = Arc::clone(svc);
-            handles.push(std::thread::spawn(move || {
-                let c = ctx(me);
-                let plan = svc.enter(&c, n, frees, named);
-                svc.drain(&c);
-                (plan, c.clock.now())
-            }));
-        }
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        run_participants(inputs.len(), |c| {
+            let (n, frees, named) = inputs[c.me].clone();
+            let plan = svc.enter(&c, n, frees, named);
+            svc.drain(&c);
+            (plan, c.clock.now())
+        })
     }
 
     #[test]
@@ -654,20 +608,14 @@ mod tests {
     #[test]
     fn exit_time_dominated_by_slowest_node() {
         let svc = service(2, true);
-        let mut handles = Vec::new();
-        for me in 0..2 {
-            let svc = Arc::clone(&svc);
-            handles.push(std::thread::spawn(move || {
-                let c = ctx(me);
-                if me == 1 {
-                    c.clock.advance(SimDuration::from_millis(30)); // slow worker
-                }
-                svc.enter(&c, vec![], vec![], vec![]);
-                svc.drain(&c);
-                c.clock.now()
-            }));
-        }
-        let times: Vec<SimInstant> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let times: Vec<SimInstant> = run_participants(2, |c| {
+            if c.me == 1 {
+                c.clock.advance(SimDuration::from_millis(30)); // slow worker
+            }
+            svc.enter(&c, vec![], vec![], vec![]);
+            svc.drain(&c);
+            c.clock.now()
+        });
         for t in &times {
             assert!(t.nanos() >= 30_000_000, "exit before slowest entered: {t}");
         }
@@ -679,18 +627,12 @@ mod tests {
     fn barrier_reusable_across_rounds_with_increasing_seq() {
         let svc = service(2, true);
         for expected_seq in 1..=3u64 {
-            let mut handles = Vec::new();
-            for me in 0..2 {
-                let svc = Arc::clone(&svc);
-                handles.push(std::thread::spawn(move || {
-                    let c = ctx(me);
-                    let plan = svc.enter(&c, vec![], vec![], vec![]);
-                    let seq = svc.drain(&c);
-                    (plan.seq, seq)
-                }));
-            }
-            for h in handles {
-                let (pseq, dseq) = h.join().unwrap();
+            let seqs = run_participants(2, |c| {
+                let plan = svc.enter(&c, vec![], vec![], vec![]);
+                let seq = svc.drain(&c);
+                (plan.seq, seq)
+            });
+            for (pseq, dseq) in seqs {
                 assert_eq!(pseq, expected_seq);
                 assert_eq!(dseq, expected_seq);
             }
@@ -700,17 +642,11 @@ mod tests {
     #[test]
     fn run_barrier_synchronizes_clocks_only() {
         let svc = service(3, true);
-        let mut handles = Vec::new();
-        for me in 0..3 {
-            let svc = Arc::clone(&svc);
-            handles.push(std::thread::spawn(move || {
-                let c = ctx(me);
-                c.clock.advance(SimDuration::from_micros(me as u64 * 500));
-                svc.run_barrier(&c);
-                c.clock.now()
-            }));
-        }
-        let times: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let times = run_participants(3, |c| {
+            c.clock.advance(SimDuration::from_micros(c.me as u64 * 500));
+            svc.run_barrier(&c);
+            c.clock.now()
+        });
         assert_eq!(times[0], times[1]);
         assert_eq!(times[1], times[2]);
         assert!(times[0].nanos() >= 1_000_000);

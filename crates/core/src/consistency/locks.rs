@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use lots_net::NodeId;
 use lots_sim::{BlockReason, SchedHandle, SimDuration, SimInstant, TimeCategory};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::config::{DiffMode, LockProtocol};
 use crate::diff::WordDiff;
@@ -80,14 +80,13 @@ struct LockState {
     seen: Vec<u64>,
     /// Epoch marker: barrier seq at which this lock was last reset.
     epoch: u64,
-    /// Deterministic mode: tasks parked waiting for this lock
+    /// Tasks parked waiting for this lock
     /// (re-registered on every wake; woken by release/poison).
     sched_waiters: Vec<SchedHandle>,
 }
 
 struct LockEntry {
     state: Mutex<LockState>,
-    cv: Condvar,
 }
 
 /// The cluster-wide lock service.
@@ -120,14 +119,10 @@ impl LockService {
         self.poisoned.store(true, Ordering::Release);
         let locks = self.locks.lock();
         for entry in locks.values() {
-            // Hold the entry mutex while notifying: a waiter that has
-            // already checked the flag but not yet parked would
-            // otherwise miss this wake-up and sleep forever.
-            let mut st = entry.state.lock();
-            entry.cv.notify_all();
-            for w in st.sched_waiters.drain(..) {
-                w.wake();
-            }
+            // Drain under the entry mutex: a waiter checks the flag
+            // and registers itself under it, so it either sees the
+            // flag or is on the list drained here.
+            super::wake_all(&mut entry.state.lock().sched_waiters);
         }
     }
 
@@ -158,7 +153,6 @@ impl LockService {
                     epoch: 0,
                     sched_waiters: Vec::new(),
                 }),
-                cv: Condvar::new(),
             })
         }))
     }
@@ -167,10 +161,10 @@ impl LockService {
     /// request-arrival order, then returns the grant with its virtual
     /// arrival already merged into the caller's clock.
     ///
-    /// Under the virtual-time engine the wait has two stages. While
-    /// the lock is held or earlier-keyed requests are queued ahead,
-    /// the task waits in the service's waiter list (reason
-    /// `LockQueue`), re-woken by each release. Once it is the front
+    /// The wait has two stages. While the lock is held or
+    /// earlier-keyed requests are queued ahead, the task waits in the
+    /// service's waiter list (reason `LockQueue`), re-woken by each
+    /// release. Once it is the front
     /// waiter of a free lock it parks on the engine's conservative
     /// grant gate ([`SchedHandle::block_gated`]), which resumes it
     /// only when no other task could still issue a request sorting
@@ -188,33 +182,26 @@ impl LockService {
         self.check_poison();
         let key = (req_arrive.nanos(), ctx.me);
         st.waiters.insert(key);
-        if let Some(h) = ctx.sched.clone() {
-            loop {
+        loop {
+            if st.holder.is_none() && st.waiters.first() == Some(&key) {
+                drop(st);
+                ctx.sched.block_gated(req_arrive, ctx.me);
+                st = entry.state.lock();
+                self.check_poison();
                 if st.holder.is_none() && st.waiters.first() == Some(&key) {
-                    drop(st);
-                    h.block_gated(req_arrive, ctx.me);
-                    st = entry.state.lock();
-                    self.check_poison();
-                    if st.holder.is_none() && st.waiters.first() == Some(&key) {
-                        break;
-                    }
-                } else {
-                    st = super::sched_wait_step(
-                        &entry.state,
-                        st,
-                        |s| &mut s.sched_waiters,
-                        &h,
-                        BlockReason::LockQueue {
-                            at: req_arrive.nanos(),
-                            rank: ctx.me,
-                        },
-                    );
-                    self.check_poison();
+                    break;
                 }
-            }
-        } else {
-            while st.holder.is_some() || st.waiters.first() != Some(&key) {
-                entry.cv.wait(&mut st);
+            } else {
+                st = super::sched_wait_step(
+                    &entry.state,
+                    st,
+                    |s| &mut s.sched_waiters,
+                    &ctx.sched,
+                    BlockReason::LockQueue {
+                        at: req_arrive.nanos(),
+                        rank: ctx.me,
+                    },
+                );
                 self.check_poison();
             }
         }
@@ -346,10 +333,7 @@ impl LockService {
         let arrive = ctx.clock.now() + ctx.net.one_way(rel_bytes);
         st.release_time = st.release_time.max(arrive) + ctx.cpu.handler_entry;
         st.holder = None;
-        entry.cv.notify_all();
-        for w in st.sched_waiters.drain(..) {
-            w.wake();
-        }
+        super::wake_all(&mut st.sched_waiters);
         // Sender-side cost of pushing the release out.
         ctx.clock.advance(SimDuration(ctx.net.per_fragment.0));
     }
@@ -392,19 +376,21 @@ impl LockService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lots_net::TrafficStats;
-    use lots_sim::machine::{fast_ethernet, pentium4_2ghz};
-    use lots_sim::{NodeStats, SimClock};
+    use crate::consistency::run_participants;
+    use lots_sim::SimClock;
 
-    fn ctx(me: NodeId) -> SyncCtx {
+    /// Run `body` as the only participant of an engine; sequential
+    /// tests play other ranks from it through [`as_rank`].
+    fn solo<T: Send>(body: impl Fn(SyncCtx) -> T + Sync) -> T {
+        run_participants(1, body).remove(0)
+    }
+
+    /// Rank `me` on `c`'s task, with its own clock.
+    fn as_rank(c: &SyncCtx, me: NodeId) -> SyncCtx {
         SyncCtx {
             me,
             clock: SimClock::new(),
-            stats: NodeStats::new(),
-            traffic: TrafficStats::new(),
-            net: fast_ethernet(),
-            cpu: pentium4_2ghz(),
-            sched: None,
+            ..c.clone()
         }
     }
 
@@ -426,11 +412,12 @@ mod tests {
             DiffMode::PerFieldOnDemand,
             LockProtocol::HomelessWriteUpdate,
         );
-        let c = ctx(0);
-        let g = svc.acquire(1, &c);
-        assert!(g.updates.is_empty());
-        assert!(c.clock.now().nanos() > 0, "RTT charged");
-        svc.release(1, &c, |_| vec![]);
+        solo(|c| {
+            let g = svc.acquire(1, &c);
+            assert!(g.updates.is_empty());
+            assert!(c.clock.now().nanos() > 0, "RTT charged");
+            svc.release(1, &c, |_| vec![]);
+        });
     }
 
     #[test]
@@ -440,20 +427,21 @@ mod tests {
             DiffMode::PerFieldOnDemand,
             LockProtocol::HomelessWriteUpdate,
         );
-        let c0 = ctx(0);
-        let c1 = ctx(1);
-        svc.acquire(9, &c0);
-        svc.release(9, &c0, |ts| {
-            assert_eq!(ts, 1);
-            vec![(ObjectId(4), diff_of(&[(0, 10), (1, 20)]))]
+        solo(|c0| {
+            let c1 = as_rank(&c0, 1);
+            svc.acquire(9, &c0);
+            svc.release(9, &c0, |ts| {
+                assert_eq!(ts, 1);
+                vec![(ObjectId(4), diff_of(&[(0, 10), (1, 20)]))]
+            });
+            let g = svc.acquire(9, &c1);
+            assert_eq!(g.updates.len(), 1);
+            assert_eq!(g.updates[0].0, ObjectId(4));
+            let mut words = g.updates[0].1.clone();
+            words.sort_unstable_by_key(|&(w, _, _)| w);
+            assert_eq!(words, vec![(0, 1, 10), (1, 1, 20)]);
+            svc.release(9, &c1, |_| vec![]);
         });
-        let g = svc.acquire(9, &c1);
-        assert_eq!(g.updates.len(), 1);
-        assert_eq!(g.updates[0].0, ObjectId(4));
-        let mut words = g.updates[0].1.clone();
-        words.sort_unstable_by_key(|&(w, _, _)| w);
-        assert_eq!(words, vec![(0, 1, 10), (1, 1, 20)]);
-        svc.release(9, &c1, |_| vec![]);
     }
 
     #[test]
@@ -463,18 +451,19 @@ mod tests {
             DiffMode::PerFieldOnDemand,
             LockProtocol::HomelessWriteUpdate,
         );
-        let c0 = ctx(0);
-        let c1 = ctx(1);
-        svc.acquire(1, &c0);
-        svc.release(1, &c0, |_| vec![(ObjectId(0), diff_of(&[(0, 1)]))]);
-        let g1 = svc.acquire(1, &c1);
-        assert_eq!(g1.updates.len(), 1);
-        svc.release(1, &c1, |_| vec![]);
-        // Node 1 acquires again without intervening updates: nothing new.
-        let g2 = svc.acquire(1, &c1);
-        assert!(g2.updates.is_empty());
-        assert_eq!(g2.payload_bytes, 0);
-        svc.release(1, &c1, |_| vec![]);
+        solo(|c0| {
+            let c1 = as_rank(&c0, 1);
+            svc.acquire(1, &c0);
+            svc.release(1, &c0, |_| vec![(ObjectId(0), diff_of(&[(0, 1)]))]);
+            let g1 = svc.acquire(1, &c1);
+            assert_eq!(g1.updates.len(), 1);
+            svc.release(1, &c1, |_| vec![]);
+            // Node 1 acquires again without intervening updates: nothing new.
+            let g2 = svc.acquire(1, &c1);
+            assert!(g2.updates.is_empty());
+            assert_eq!(g2.payload_bytes, 0);
+            svc.release(1, &c1, |_| vec![]);
+        });
     }
 
     #[test]
@@ -488,68 +477,61 @@ mod tests {
             (DiffMode::PerFieldOnDemand, 1),
         ] {
             let svc = mk(mode);
-            let c0 = ctx(0);
-            for v in [1u32, 2, 3] {
-                svc.acquire(5, &c0);
-                svc.release(5, &c0, |_| vec![(ObjectId(8), diff_of(&[(0, v)]))]);
-            }
-            let c2 = ctx(2);
-            let g = svc.acquire(5, &c2);
-            let copies: usize = g.updates.iter().map(|(_, w)| w.len()).sum();
-            assert_eq!(copies, expected_copies, "mode {mode:?}");
-            // Either way the final value must win.
-            let last = g
-                .updates
-                .iter()
-                .flat_map(|(_, ws)| ws.iter())
-                .max_by_key(|&&(_, ts, _)| ts)
-                .copied()
-                .unwrap();
-            assert_eq!(last.2, 3);
-            svc.release(5, &c2, |_| vec![]);
+            solo(|c0| {
+                for v in [1u32, 2, 3] {
+                    svc.acquire(5, &c0);
+                    svc.release(5, &c0, |_| vec![(ObjectId(8), diff_of(&[(0, v)]))]);
+                }
+                let c2 = as_rank(&c0, 2);
+                let g = svc.acquire(5, &c2);
+                let copies: usize = g.updates.iter().map(|(_, w)| w.len()).sum();
+                assert_eq!(copies, expected_copies, "mode {mode:?}");
+                // Either way the final value must win.
+                let last = g
+                    .updates
+                    .iter()
+                    .flat_map(|(_, ws)| ws.iter())
+                    .max_by_key(|&&(_, ts, _)| ts)
+                    .copied()
+                    .unwrap();
+                assert_eq!(last.2, 3);
+                svc.release(5, &c2, |_| vec![]);
+            });
         }
     }
 
     #[test]
     fn write_invalidate_mode_sends_invalidations() {
         let svc = LockService::new(2, DiffMode::PerFieldOnDemand, LockProtocol::WriteInvalidate);
-        let c0 = ctx(0);
-        let c1 = ctx(1);
-        svc.acquire(1, &c0);
-        svc.release(1, &c0, |_| vec![(ObjectId(3), diff_of(&[(0, 1)]))]);
-        let g = svc.acquire(1, &c1);
-        assert!(g.updates.is_empty());
-        assert_eq!(g.invalidate, vec![(ObjectId(3), 0)]);
-        svc.release(1, &c1, |_| vec![]);
+        solo(|c0| {
+            let c1 = as_rank(&c0, 1);
+            svc.acquire(1, &c0);
+            svc.release(1, &c0, |_| vec![(ObjectId(3), diff_of(&[(0, 1)]))]);
+            let g = svc.acquire(1, &c1);
+            assert!(g.updates.is_empty());
+            assert_eq!(g.invalidate, vec![(ObjectId(3), 0)]);
+            svc.release(1, &c1, |_| vec![]);
+        });
     }
 
     #[test]
     fn fifo_mutual_exclusion_under_contention() {
-        let svc = Arc::new(LockService::new(
+        let svc = LockService::new(
             4,
             DiffMode::PerFieldOnDemand,
             LockProtocol::HomelessWriteUpdate,
-        ));
-        let counter = Arc::new(Mutex::new(0u64));
-        let mut handles = Vec::new();
-        for me in 0..4 {
-            let svc = Arc::clone(&svc);
-            let counter = Arc::clone(&counter);
-            handles.push(std::thread::spawn(move || {
-                let c = ctx(me);
-                for _ in 0..200 {
-                    svc.acquire(0, &c);
-                    {
-                        let mut g = counter.lock();
-                        *g += 1;
-                    }
-                    svc.release(0, &c, |_| vec![]);
+        );
+        let counter = Mutex::new(0u64);
+        run_participants(4, |c| {
+            for _ in 0..200 {
+                svc.acquire(0, &c);
+                {
+                    let mut g = counter.lock();
+                    *g += 1;
                 }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+                svc.release(0, &c, |_| vec![]);
+            }
+        });
         assert_eq!(*counter.lock(), 800);
     }
 
@@ -560,16 +542,17 @@ mod tests {
             DiffMode::PerFieldOnDemand,
             LockProtocol::HomelessWriteUpdate,
         );
-        let c0 = ctx(0);
-        svc.acquire(1, &c0);
-        c0.clock.advance(SimDuration::from_millis(50)); // long CS
-        svc.release(1, &c0, |_| vec![]);
-        let c1 = ctx(1);
-        let g = svc.acquire(1, &c1);
-        drop(g);
-        // Node 1's grant cannot precede node 0's release.
-        assert!(c1.clock.now().nanos() >= 50_000_000, "{}", c1.clock.now());
-        svc.release(1, &c1, |_| vec![]);
+        solo(|c0| {
+            svc.acquire(1, &c0);
+            c0.clock.advance(SimDuration::from_millis(50)); // long CS
+            svc.release(1, &c0, |_| vec![]);
+            let c1 = as_rank(&c0, 1);
+            let g = svc.acquire(1, &c1);
+            drop(g);
+            // Node 1's grant cannot precede node 0's release.
+            assert!(c1.clock.now().nanos() >= 50_000_000, "{}", c1.clock.now());
+            svc.release(1, &c1, |_| vec![]);
+        });
     }
 
     #[test]
@@ -579,17 +562,18 @@ mod tests {
             DiffMode::PerFieldOnDemand,
             LockProtocol::HomelessWriteUpdate,
         );
-        let c0 = ctx(0);
-        svc.acquire(1, &c0);
-        svc.release(1, &c0, |_| vec![(ObjectId(0), diff_of(&[(0, 1)]))]);
-        assert!(svc.pending_grant_bytes(1) > 0);
-        svc.reset_epoch(1);
-        svc.reset_epoch(1); // idempotent
-        assert_eq!(svc.pending_grant_bytes(1), 0);
-        // Fresh acquire after reset sees nothing.
-        let g = svc.acquire(1, &c0);
-        assert!(g.updates.is_empty());
-        svc.release(1, &c0, |_| vec![]);
+        solo(|c0| {
+            svc.acquire(1, &c0);
+            svc.release(1, &c0, |_| vec![(ObjectId(0), diff_of(&[(0, 1)]))]);
+            assert!(svc.pending_grant_bytes(1) > 0);
+            svc.reset_epoch(1);
+            svc.reset_epoch(1); // idempotent
+            assert_eq!(svc.pending_grant_bytes(1), 0);
+            // Fresh acquire after reset sees nothing.
+            let g = svc.acquire(1, &c0);
+            assert!(g.updates.is_empty());
+            svc.release(1, &c0, |_| vec![]);
+        });
     }
 
     #[test]

@@ -61,6 +61,7 @@ pub mod api;
 pub mod config;
 pub mod consistency;
 pub mod diff;
+pub mod harness;
 pub mod layout;
 pub mod node;
 pub mod object;
@@ -77,6 +78,7 @@ pub use config::{
 };
 pub use consistency::locks::LockId;
 pub use diff::WordDiff;
+pub use harness::{NodeSummary, Options, Protocol, Report};
 pub use lots_analyze::{AnalyzeConfig, RaceReport};
 pub use lots_persist::{
     CheckpointPolicy, CompactionConfig, PersistConfig, PersistError, PersistStore, RestoredCluster,
@@ -85,5 +87,5 @@ pub use lots_sim::{FaultPlan, PanicFault, ScheduleScript, SchedulerMode};
 pub use node::{LotsError, SwapAccounting};
 pub use object::{Life, NamedAllocReq, ObjectId};
 pub use pod::Pod;
-pub use runtime::{restore_cluster, run_cluster, ClusterOptions, ClusterReport, NodeReport};
+pub use runtime::{restore_cluster, run_cluster, ClusterOptions, ClusterReport, Lots, NodeReport};
 pub use swap::SwapPolicy;

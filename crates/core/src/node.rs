@@ -270,7 +270,7 @@ pub struct NodeState {
     policy: Box<dyn SwapPolicy>,
     /// The local disk as a virtual-time device: batched write-behind,
     /// blocking reads, serial service.
-    diskq: DiskQueue,
+    pub(crate) diskq: DiskQueue,
     /// Read-ahead buffer: swap key → (encoded image, completion time of
     /// its in-flight device read).
     prefetched: HashMap<u64, (Vec<u8>, SimInstant)>,
@@ -1927,24 +1927,6 @@ impl NodeState {
         let now = self.clock.advance_to(op.done);
         self.stats
             .charge(TimeCategory::Disk, now.saturating_sub(before));
-    }
-
-    /// Book one compaction run's I/O on the node's disk device at the
-    /// compaction daemon's time `now`: a blocking read of the folded
-    /// prefix followed by a write-behind put of the rewritten log.
-    /// Returns when the device delivers the read (the daemon sleeps
-    /// through it; demand I/O from the application queues behind).
-    pub fn persist_book_compaction(
-        &mut self,
-        now: SimInstant,
-        read_bytes: u64,
-        write_bytes: u64,
-    ) -> SimInstant {
-        let op = self.diskq.read(now, read_bytes);
-        if write_bytes > 0 {
-            self.diskq.write_batch(op.done, &[write_bytes]);
-        }
-        op.done
     }
 
     // ------------------------------------------------------------------

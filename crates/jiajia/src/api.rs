@@ -17,7 +17,7 @@ use std::ops::{Deref, DerefMut, Range};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, TryRecvError};
+use crossbeam::channel::Receiver;
 use lots_analyze::RaceDetector;
 use lots_core::api::{element_bounds, range_bounds};
 use lots_core::consistency::SyncCtx;
@@ -96,7 +96,7 @@ pub struct JiaDsm {
     /// (see [`lots_analyze::AnalyzeConfig`]). Race objects on the
     /// JIAJIA side are *pages*: accesses are split on page bounds.
     pub(crate) analyze: Option<Arc<RaceDetector>>,
-    /// Persistence journal (`Some` iff [`crate::JiaOptions::persist`]
+    /// Persistence journal (`Some` iff [`crate::Jia::persist`]
     /// is set): appended after every barrier, pages as objects.
     pub(crate) journal: Option<Arc<Mutex<lots_persist::NodeJournal>>>,
 }
@@ -518,23 +518,7 @@ impl JiaDsm {
     }
 
     fn recv_reply(&self) -> Envelope<JMsg> {
-        if let Some(h) = &self.ctx.sched {
-            // Deterministic mode: park on the turnstile; the comm task
-            // wakes us after forwarding the envelope.
-            loop {
-                match self.replies.try_recv() {
-                    Ok(env) => return env,
-                    Err(TryRecvError::Empty) => h.block(),
-                    Err(TryRecvError::Disconnected) => {
-                        panic!("comm thread gone while app waiting for a reply")
-                    }
-                }
-            }
-        } else {
-            self.replies
-                .recv()
-                .expect("comm thread alive while app running")
-        }
+        lots_core::harness::recv_reply(&self.replies, &self.ctx.sched)
     }
 }
 

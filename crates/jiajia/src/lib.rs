@@ -24,5 +24,5 @@ pub use api::{JMsg, JiaDsm, JiaSlice, PageView, PageViewMut};
 pub use node::JiaError;
 pub use page::PAGE_BYTES;
 pub use runtime::{
-    restore_jiajia_cluster, run_jiajia_cluster, JiaNodeReport, JiaOptions, JiaReport,
+    restore_jiajia_cluster, run_jiajia_cluster, Jia, JiaNodeReport, JiaOptions, JiaReport,
 };

@@ -8,9 +8,7 @@ use std::collections::{BTreeMap, HashMap};
 use lots_core::diff::WordDiff;
 use lots_core::{NamedAllocReq, Placement};
 use lots_net::NodeId;
-use lots_sim::{
-    CpuModel, DiskModel, DiskQueue, NodeStats, SimClock, SimDuration, SimInstant, TimeCategory,
-};
+use lots_sim::{CpuModel, DiskModel, DiskQueue, NodeStats, SimClock, SimDuration, TimeCategory};
 
 use crate::page::{page_base, split_range, PageCtl, PageState, PAGE_BYTES};
 
@@ -177,7 +175,7 @@ pub struct JiaNode {
     /// Serial local-disk device for the persistence journal. JIAJIA
     /// itself never touches disk (no swap); the device exists only
     /// when the run enables the `lots-persist` journal.
-    diskq: Option<DiskQueue>,
+    pub(crate) diskq: Option<DiskQueue>,
     pub clock: SimClock,
     pub stats: NodeStats,
     pub cpu: CpuModel,
@@ -752,25 +750,6 @@ impl JiaNode {
         if let Some(dq) = &mut self.diskq {
             dq.write_batch(now, sizes);
         }
-    }
-
-    /// Book one compaction run (read the squashed prefix, then a
-    /// write-behind put of the rewritten log) at daemon time `now`;
-    /// returns when the device delivers the read.
-    pub fn persist_book_compaction(
-        &mut self,
-        now: SimInstant,
-        read_bytes: u64,
-        write_bytes: u64,
-    ) -> SimInstant {
-        let Some(dq) = &mut self.diskq else {
-            return now;
-        };
-        let op = dq.read(now, read_bytes);
-        if write_bytes > 0 {
-            dq.write_batch(op.done, &[write_bytes]);
-        }
-        op.done
     }
 
     /// Number of pages in the shared space.

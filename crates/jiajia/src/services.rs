@@ -1,8 +1,7 @@
 //! JIAJIA synchronization services: home-based ScC barrier and locks.
 //!
-//! Like the LOTS services, the rendezvous/queueing is real in-process
-//! synchronization while control-message costs are charged analytically
-//! (DESIGN.md §2). The key protocol differences from LOTS:
+//! Like the LOTS services, participants park on the virtual-time engine
+//! while control-message costs are charged analytically (DESIGN.md §2). The key protocol differences from LOTS:
 //!
 //! * diffs are **eagerly flushed to fixed homes** at every release and
 //!   barrier entry (home-based, no migration);
@@ -12,12 +11,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use lots_core::consistency::SyncCtx;
+use lots_core::consistency::{sched_wait_step, wake_all, SyncCtx};
 use lots_core::protocol::messages::ctl;
 use lots_core::NamedAllocReq;
 use lots_net::NodeId;
 use lots_sim::{BlockReason, SchedHandle, SimDuration, SimInstant, TimeCategory};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 /// One aggregated write notice: the page, one of its writers, and
 /// whether more than one node wrote it (write-write false sharing).
@@ -61,8 +60,8 @@ struct BarState {
     /// Set when a node's app thread panicked: waiters must unblock and
     /// propagate instead of waiting for an impossible rendezvous.
     poisoned: bool,
-    /// Deterministic mode: turnstile-parked waiters (re-registered on
-    /// every wake; drained by the last arriver or by poison).
+    /// Parked waiters (re-registered on every wake; drained by the
+    /// last arriver or by poison).
     sched_waiters: Vec<SchedHandle>,
 }
 
@@ -71,7 +70,6 @@ struct BarState {
 pub struct JiaBarrier {
     n: usize,
     state: Mutex<BarState>,
-    cv: Condvar,
 }
 
 impl JiaBarrier {
@@ -94,7 +92,6 @@ impl JiaBarrier {
                 poisoned: false,
                 sched_waiters: Vec::new(),
             }),
-            cv: Condvar::new(),
         }
     }
 
@@ -103,10 +100,7 @@ impl JiaBarrier {
     pub fn poison(&self) {
         let mut st = self.state.lock();
         st.poisoned = true;
-        self.cv.notify_all();
-        for w in st.sched_waiters.drain(..) {
-            w.wake();
-        }
+        wake_all(&mut st.sched_waiters);
     }
 
     fn check_poison(st: &BarState) {
@@ -187,24 +181,16 @@ impl JiaBarrier {
             st.enter_max = SimInstant::ZERO;
             st.enter_last = (SimInstant::ZERO, 0, SimDuration::ZERO);
             st.gen += 1;
-            self.cv.notify_all();
-            for w in st.sched_waiters.drain(..) {
-                w.wake();
-            }
-        } else if let Some(h) = ctx.sched.clone() {
+            wake_all(&mut st.sched_waiters);
+        } else {
             while st.gen == my_gen {
-                st = lots_core::consistency::sched_wait_step(
+                st = sched_wait_step(
                     &self.state,
                     st,
                     |s| &mut s.sched_waiters,
-                    &h,
+                    &ctx.sched,
                     BlockReason::Barrier,
                 );
-                Self::check_poison(&st);
-            }
-        } else {
-            while st.gen == my_gen {
-                self.cv.wait(&mut st);
                 Self::check_poison(&st);
             }
         }
@@ -242,13 +228,12 @@ struct LockState {
     /// construction — iteration order here reaches the wire.
     notices: BTreeMap<u32, (u64, NodeId)>,
     seen: Vec<u64>,
-    /// Deterministic mode: turnstile-parked waiters on this lock.
+    /// Parked waiters on this lock.
     sched_waiters: Vec<SchedHandle>,
 }
 
 struct LockEntry {
     state: Mutex<LockState>,
-    cv: Condvar,
 }
 
 /// Home-based ScC locks: grants carry invalidation notices only.
@@ -275,14 +260,10 @@ impl JiaLocks {
             .store(true, std::sync::atomic::Ordering::Release);
         let locks = self.locks.lock();
         for entry in locks.values() {
-            // Hold the entry mutex while notifying: a waiter that has
-            // already checked the flag but not yet parked would
-            // otherwise miss this wake-up and sleep forever.
-            let mut st = entry.state.lock();
-            entry.cv.notify_all();
-            for w in st.sched_waiters.drain(..) {
-                w.wake();
-            }
+            // Drain under the entry mutex: a waiter checks the flag
+            // and registers itself under it, so it either sees the
+            // flag or is on the list drained here.
+            wake_all(&mut entry.state.lock().sched_waiters);
         }
     }
 
@@ -305,14 +286,13 @@ impl JiaLocks {
                     seen: vec![0; self.n],
                     sched_waiters: Vec::new(),
                 }),
-                cv: Condvar::new(),
             })
         }))
     }
 
     /// Acquire: blocks in virtual request-arrival order; returns the
-    /// pages to invalidate. Under the virtual-time engine the front
-    /// waiter of a free lock parks on the conservative grant gate
+    /// pages to invalidate. The front waiter of a free lock parks on
+    /// the engine's conservative grant gate
     /// ([`SchedHandle::block_gated`]) so a grant is observed only once
     /// no earlier-sorting request can still appear; the gate bounds
     /// competing requests, not the holder's release, so the condition
@@ -326,33 +306,26 @@ impl JiaLocks {
         self.check_poison();
         let key = (req_arrive.nanos(), ctx.me);
         st.waiters.insert(key);
-        if let Some(h) = ctx.sched.clone() {
-            loop {
+        loop {
+            if st.holder.is_none() && st.waiters.first() == Some(&key) {
+                drop(st);
+                ctx.sched.block_gated(req_arrive, ctx.me);
+                st = entry.state.lock();
+                self.check_poison();
                 if st.holder.is_none() && st.waiters.first() == Some(&key) {
-                    drop(st);
-                    h.block_gated(req_arrive, ctx.me);
-                    st = entry.state.lock();
-                    self.check_poison();
-                    if st.holder.is_none() && st.waiters.first() == Some(&key) {
-                        break;
-                    }
-                } else {
-                    st = lots_core::consistency::sched_wait_step(
-                        &entry.state,
-                        st,
-                        |s| &mut s.sched_waiters,
-                        &h,
-                        BlockReason::LockQueue {
-                            at: req_arrive.nanos(),
-                            rank: ctx.me,
-                        },
-                    );
-                    self.check_poison();
+                    break;
                 }
-            }
-        } else {
-            while st.holder.is_some() || st.waiters.first() != Some(&key) {
-                entry.cv.wait(&mut st);
+            } else {
+                st = sched_wait_step(
+                    &entry.state,
+                    st,
+                    |s| &mut s.sched_waiters,
+                    &ctx.sched,
+                    BlockReason::LockQueue {
+                        at: req_arrive.nanos(),
+                        rank: ctx.me,
+                    },
+                );
                 self.check_poison();
             }
         }
@@ -397,48 +370,37 @@ impl JiaLocks {
         let arrive = ctx.clock.now() + ctx.net.one_way(rel_bytes);
         st.release_time = st.release_time.max(arrive) + ctx.cpu.handler_entry;
         st.holder = None;
-        entry.cv.notify_all();
-        for w in st.sched_waiters.drain(..) {
-            w.wake();
-        }
+        wake_all(&mut st.sched_waiters);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lots_net::TrafficStats;
-    use lots_sim::machine::{fast_ethernet, pentium4_2ghz};
-    use lots_sim::{NodeStats, SimClock};
+    use lots_core::consistency::run_participants;
+    use lots_sim::SimClock;
 
-    fn ctx(me: NodeId) -> SyncCtx {
+    /// Rank `me` on `c`'s task, with its own clock: sequential tests
+    /// play several nodes from one participant.
+    fn as_rank(c: &SyncCtx, me: NodeId) -> SyncCtx {
         SyncCtx {
             me,
             clock: SimClock::new(),
-            stats: NodeStats::new(),
-            traffic: TrafficStats::new(),
-            net: fast_ethernet(),
-            cpu: pentium4_2ghz(),
-            sched: None,
+            ..c.clone()
         }
     }
 
     #[test]
     fn barrier_unions_notices_and_marks_false_sharing() {
-        let b = Arc::new(JiaBarrier::new(3));
-        let mut handles = Vec::new();
-        for me in 0..3usize {
-            let b = Arc::clone(&b);
-            handles.push(std::thread::spawn(move || {
-                let c = ctx(me);
-                // Page 5 is written by everyone (false sharing); the
-                // others have single writers.
-                let round = b.enter(&c, vec![me as u32, 10 + me as u32, 5], vec![], vec![]);
-                (round.written, round.seq)
-            }));
-        }
-        for h in handles {
-            let (written, seq) = h.join().unwrap();
+        let b = JiaBarrier::new(3);
+        let rounds = run_participants(3, |c| {
+            let me = c.me as u32;
+            // Page 5 is written by everyone (false sharing); the
+            // others have single writers.
+            let round = b.enter(&c, vec![me, 10 + me, 5], vec![], vec![]);
+            (round.written, round.seq)
+        });
+        for (written, seq) in rounds {
             assert_eq!(seq, 1);
             let pages: Vec<u32> = written.iter().map(|n| n.page).collect();
             assert_eq!(pages, vec![0, 1, 2, 5, 10, 11, 12]);
@@ -456,30 +418,32 @@ mod tests {
     #[test]
     fn lock_notices_gate_on_seen_ts() {
         let l = JiaLocks::new(2);
-        let c0 = ctx(0);
-        let c1 = ctx(1);
-        l.acquire(1, &c0);
-        l.release(1, &c0, vec![4, 5]);
-        assert_eq!(l.acquire(1, &c1), vec![4, 5]);
-        l.release(1, &c1, vec![]);
-        // Re-acquire by node 1: nothing new.
-        assert_eq!(l.acquire(1, &c1), Vec::<u32>::new());
-        l.release(1, &c1, vec![]);
-        // Node 0 still sees node 1's... nothing (node 1 wrote nothing).
-        assert_eq!(l.acquire(1, &c0), Vec::<u32>::new());
-        l.release(1, &c0, vec![]);
+        run_participants(1, |c0| {
+            let c1 = as_rank(&c0, 1);
+            l.acquire(1, &c0);
+            l.release(1, &c0, vec![4, 5]);
+            assert_eq!(l.acquire(1, &c1), vec![4, 5]);
+            l.release(1, &c1, vec![]);
+            // Re-acquire by node 1: nothing new.
+            assert_eq!(l.acquire(1, &c1), Vec::<u32>::new());
+            l.release(1, &c1, vec![]);
+            // Node 0 still sees node 1's... nothing (node 1 wrote nothing).
+            assert_eq!(l.acquire(1, &c0), Vec::<u32>::new());
+            l.release(1, &c0, vec![]);
+        });
     }
 
     #[test]
     fn lock_excludes_and_chains_time() {
-        let l = Arc::new(JiaLocks::new(2));
-        let c0 = ctx(0);
-        l.acquire(9, &c0);
-        c0.clock.advance(lots_sim::SimDuration::from_millis(20));
-        l.release(9, &c0, vec![]);
-        let c1 = ctx(1);
-        l.acquire(9, &c1);
-        assert!(c1.clock.now().nanos() >= 20_000_000);
-        l.release(9, &c1, vec![]);
+        let l = JiaLocks::new(2);
+        run_participants(1, |c0| {
+            l.acquire(9, &c0);
+            c0.clock.advance(lots_sim::SimDuration::from_millis(20));
+            l.release(9, &c0, vec![]);
+            let c1 = as_rank(&c0, 1);
+            l.acquire(9, &c1);
+            assert!(c1.clock.now().nanos() >= 20_000_000);
+            l.release(9, &c1, vec![]);
+        });
     }
 }

@@ -10,10 +10,9 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{self, Receiver, Sender};
 use lots_sim::{Delivery, FaultPlan, NetModel, SchedHandle, SimDuration, SimInstant, Topology};
 
 use crate::droplog::DropLog;
@@ -35,28 +34,20 @@ struct Packet<M> {
     fragments: u32,
 }
 
-/// One channel element: a data fragment, or an out-of-band poke that
-/// makes a blocked receiver return immediately (used for prompt
-/// shutdown instead of waiting out the receive timeout).
-#[derive(Debug, Clone)]
-enum Wire<M> {
-    Pkt(Packet<M>),
-    Wake,
-}
-
 /// Sending half; cheap to clone and share between threads of one node.
 pub struct NetSender<M> {
     id: NodeId,
     model: NetModel,
     /// Per-link latency/bandwidth overrides over `model`.
     topo: Arc<Topology>,
-    txs: Arc<Vec<Sender<Wire<M>>>>,
+    txs: Arc<Vec<Sender<Packet<M>>>>,
     links: Arc<Vec<LinkClock>>,
     seq: Arc<AtomicU64>,
     stats: TrafficStats,
-    /// Deterministic mode: the comm task of each node, woken (with the
-    /// message's virtual arrival time) whenever something is sent to it.
-    wakers: Option<Arc<Vec<SchedHandle>>>,
+    /// The comm task of each node, woken (with the message's virtual
+    /// arrival time) whenever something is sent to it. Empty for a
+    /// transport without an engine (see [`cluster`]).
+    wakers: Arc<Vec<SchedHandle>>,
     /// Seeded per-message loss/delay/dup/reorder injection.
     faults: Option<Arc<FaultPlan>>,
     /// Messages whose every transmission attempt was lost.
@@ -73,7 +64,7 @@ impl<M> Clone for NetSender<M> {
             links: Arc::clone(&self.links),
             seq: Arc::clone(&self.seq),
             stats: self.stats.clone(),
-            wakers: self.wakers.clone(),
+            wakers: Arc::clone(&self.wakers),
             faults: self.faults.clone(),
             drops: self.drops.clone(),
         }
@@ -163,32 +154,20 @@ impl<M: WireSize + Send + 'static> NetSender<M> {
             // Unbounded channel: never blocks, so no deadlock between
             // comm threads that send while servicing.
             self.txs[dst]
-                .send(Wire::Pkt(pkt))
+                .send(pkt)
                 .expect("destination endpoint dropped while cluster running");
             if let Some(c) = copy {
                 // Duplicate in flight, right behind the original.
                 self.stats.record_dup_sent();
                 self.txs[dst]
-                    .send(Wire::Pkt(c))
+                    .send(c)
                     .expect("destination endpoint dropped while cluster running");
             }
         }
-        if let Some(w) = &self.wakers {
-            w[dst].wake_at(tx.arrival);
+        if let Some(w) = self.wakers.get(dst) {
+            w.wake_at(tx.arrival);
         }
         tx
-    }
-
-    /// Poke `dst`'s receiver so a blocked `recv_timeout` returns
-    /// [`Recv::Timeout`] immediately (and, in deterministic mode, its
-    /// comm task is woken). Used for prompt shutdown: the receiver
-    /// re-checks its shutdown flag instead of sleeping out the poll
-    /// interval. Sending to a dropped endpoint is a no-op.
-    pub fn wake(&self, dst: NodeId) {
-        let _ = self.txs[dst].send(Wire::Wake);
-        if let Some(w) = &self.wakers {
-            w[dst].wake();
-        }
     }
 
     /// This node's id.
@@ -215,7 +194,7 @@ impl<M: WireSize + Send + 'static> NetSender<M> {
 /// Receiving half; owned by exactly one thread (the comm thread).
 pub struct NetReceiver<M> {
     id: NodeId,
-    rx: Receiver<Wire<M>>,
+    rx: Receiver<Packet<M>>,
     reasm: Reassembler,
     headers: HashMap<(NodeId, u64), PendingHeader<M>>,
     stats: TrafficStats,
@@ -234,52 +213,13 @@ struct PendingHeader<M> {
     fragments: u32,
 }
 
-/// Outcome of a receive attempt.
-pub enum Recv<M> {
-    /// A complete message was reassembled.
-    Message(Envelope<M>),
-    /// Timed out with no complete message.
-    Timeout,
-    /// All senders disconnected — the cluster is shutting down.
-    Disconnected,
-}
-
 impl<M: WireSize> NetReceiver<M> {
-    /// Block up to `timeout` for the next *complete* message.
-    ///
-    /// Fragments of interleaved large messages are absorbed until one
-    /// message has all its pieces (§5: no decoding of partial messages).
-    ///
-    /// Host-time audit: this wall-clock deadline is only reachable from
-    /// the *free-running* comm loops (`SchedulerMode::FreeRunning`),
-    /// which poll as a shutdown safety net. The virtual-time engine
-    /// paths never call it — they use [`NetReceiver::try_recv`] plus
-    /// scheduler parking (`yield_until`/`block_with`), so no engine-mode
-    /// schedule ever depends on a host clock.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Recv<M> {
-        // det:allow(host-time): free-running-mode poll deadline only;
-        // engine modes use try_recv + virtual-time parking (see above).
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let pkt = match self.rx.recv_deadline(deadline) {
-                Ok(Wire::Pkt(p)) => p,
-                // Out-of-band poke: report an early timeout so the
-                // caller re-checks its shutdown flag immediately.
-                Ok(Wire::Wake) => return Recv::Timeout,
-                Err(RecvTimeoutError::Timeout) => return Recv::Timeout,
-                Err(RecvTimeoutError::Disconnected) => return Recv::Disconnected,
-            };
-            if let Some(env) = self.absorb(pkt) {
-                return Recv::Message(env);
-            }
-        }
-    }
-
-    /// Non-blocking poll for a complete message. Wake pokes are
-    /// swallowed (the caller is already awake).
+    /// Non-blocking poll for the next *complete* message. Fragments of
+    /// interleaved large messages are absorbed until one message has
+    /// all its pieces (§5: no decoding of partial messages). A packet
+    /// is in the channel as soon as [`NetSender::send`] returns.
     pub fn try_recv(&mut self) -> Option<Envelope<M>> {
-        while let Ok(wire) = self.rx.try_recv() {
-            let Wire::Pkt(pkt) = wire else { continue };
+        while let Ok(pkt) = self.rx.try_recv() {
             if let Some(env) = self.absorb(pkt) {
                 return Some(env);
             }
@@ -353,9 +293,9 @@ fn endpoint_pair<M>(
     id: NodeId,
     model: NetModel,
     topo: Arc<Topology>,
-    txs: Vec<Sender<Wire<M>>>,
-    rx: Receiver<Wire<M>>,
-    wakers: Option<Arc<Vec<SchedHandle>>>,
+    txs: Vec<Sender<Packet<M>>>,
+    rx: Receiver<Packet<M>>,
+    wakers: Arc<Vec<SchedHandle>>,
     faults: Option<Arc<FaultPlan>>,
     drops: DropLog,
 ) -> (NetSender<M>, NetReceiver<M>) {
@@ -394,48 +334,42 @@ pub struct ClusterNet<M> {
     pub drops: DropLog,
 }
 
-/// Build a fully connected cluster of `n` endpoints.
+/// Build a fully connected cluster of `n` endpoints with no engine
+/// attached: sends wake nobody, and receivers poll with
+/// [`NetReceiver::try_recv`]. For transport tests and benches.
 pub fn cluster<M: WireSize + Send + 'static>(
     n: usize,
     model: NetModel,
 ) -> Vec<(NetSender<M>, NetReceiver<M>)> {
-    cluster_ext(n, model, None, None)
+    cluster_net(n, model, Topology::uniform(), Vec::new(), None).endpoints
 }
 
-/// [`cluster`] with the deterministic-mode hooks: `wakers` holds the
+/// The cluster constructor the runtimes use. `wakers` holds the
 /// scheduler task of each node's receiver (its comm task), woken with
-/// the virtual arrival time on every send addressed to it; `faults`
-/// injects seeded per-message delays/loss/duplication/reordering. Uses
-/// the uniform topology and discards the drop log.
-pub fn cluster_ext<M: WireSize + Send + 'static>(
-    n: usize,
-    model: NetModel,
-    wakers: Option<Vec<SchedHandle>>,
-    faults: Option<Arc<FaultPlan>>,
-) -> Vec<(NetSender<M>, NetReceiver<M>)> {
-    cluster_net(n, model, Topology::uniform(), wakers, faults).endpoints
-}
-
-/// The full-feature cluster constructor: [`cluster_ext`] plus per-link
-/// topology overrides, returning the drop log alongside the endpoints.
+/// the virtual arrival time on every send addressed to it (empty: no
+/// engine, as in [`cluster`]); `topology` overrides per-link latency
+/// and bandwidth; `faults` injects seeded per-message
+/// delays/loss/duplication/reordering. Returns the drop log alongside
+/// the endpoints.
 pub fn cluster_net<M: WireSize + Send + 'static>(
     n: usize,
     model: NetModel,
     topology: Topology,
-    wakers: Option<Vec<SchedHandle>>,
+    wakers: Vec<SchedHandle>,
     faults: Option<Arc<FaultPlan>>,
 ) -> ClusterNet<M> {
     assert!(n >= 1, "cluster needs at least one node");
-    if let Some(w) = &wakers {
-        assert_eq!(w.len(), n, "one waker per node");
-    }
-    let wakers = wakers.map(Arc::new);
+    assert!(
+        wakers.is_empty() || wakers.len() == n,
+        "one waker per node, or none"
+    );
+    let wakers = Arc::new(wakers);
     let topo = Arc::new(topology);
     let drops = DropLog::new();
-    let mut txs: Vec<Vec<Sender<Wire<M>>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
-    let mut rxs: Vec<Receiver<Wire<M>>> = Vec::with_capacity(n);
+    let mut txs: Vec<Vec<Sender<Packet<M>>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
+    let mut rxs: Vec<Receiver<Packet<M>>> = Vec::with_capacity(n);
     for _dst in 0..n {
-        let (tx, rx) = channel::unbounded::<Wire<M>>();
+        let (tx, rx) = channel::unbounded::<Packet<M>>();
         rxs.push(rx);
         for sender_txs in txs.iter_mut() {
             sender_txs.push(tx.clone());
@@ -452,7 +386,7 @@ pub fn cluster_net<M: WireSize + Send + 'static>(
                 Arc::clone(&topo),
                 tx,
                 rx,
-                wakers.clone(),
+                Arc::clone(&wakers),
                 faults.clone(),
                 drops.clone(),
             )
@@ -495,15 +429,11 @@ mod tests {
         };
         let t = tx1.send(0, TestMsg(42), Bytes::from_static(b"hello"), SimInstant(0));
         assert_eq!(t.fragments, 1);
-        match rx0.recv_timeout(Duration::from_secs(1)) {
-            Recv::Message(env) => {
-                assert_eq!(env.src, 1);
-                assert_eq!(env.msg, TestMsg(42));
-                assert_eq!(&env.payload[..], b"hello");
-                assert_eq!(env.arrival, t.arrival);
-            }
-            _ => panic!("expected message"),
-        }
+        let env = rx0.try_recv().expect("expected message");
+        assert_eq!(env.src, 1);
+        assert_eq!(env.msg, TestMsg(42));
+        assert_eq!(&env.payload[..], b"hello");
+        assert_eq!(env.arrival, t.arrival);
     }
 
     #[test]
@@ -517,13 +447,9 @@ mod tests {
             .into();
         let t = tx1.send(0, TestMsg(7), payload.clone(), SimInstant(0));
         assert!(t.fragments >= 5, "fragments={}", t.fragments);
-        match rx0.recv_timeout(Duration::from_secs(1)) {
-            Recv::Message(env) => {
-                assert_eq!(env.payload, payload);
-                assert_eq!(env.fragments, t.fragments);
-            }
-            _ => panic!("expected message"),
-        }
+        let env = rx0.try_recv().expect("expected message");
+        assert_eq!(env.payload, payload);
+        assert_eq!(env.fragments, t.fragments);
         assert_eq!(rx0.pending_reassemblies(), 0);
     }
 
@@ -536,14 +462,8 @@ mod tests {
         let t2 = tx1.send(0, TestMsg(2), Bytes::from(vec![1u8; 100]), SimInstant(0));
         // Link serialization: second departs after first finishes.
         assert!(t2.arrival > t1.arrival);
-        let a = match rx0.recv_timeout(Duration::from_secs(1)) {
-            Recv::Message(e) => e,
-            _ => panic!(),
-        };
-        let b = match rx0.recv_timeout(Duration::from_secs(1)) {
-            Recv::Message(e) => e,
-            _ => panic!(),
-        };
+        let a = rx0.try_recv().expect("first message");
+        let b = rx0.try_recv().expect("second message");
         assert_eq!(a.msg, TestMsg(1));
         assert_eq!(b.msg, TestMsg(2));
     }
@@ -552,30 +472,7 @@ mod tests {
     fn timeout_when_no_traffic() {
         let mut eps = cluster::<TestMsg>(2, model());
         let (_, mut rx0) = eps.remove(0);
-        match rx0.recv_timeout(Duration::from_millis(10)) {
-            Recv::Timeout => {}
-            _ => panic!("expected timeout"),
-        }
-    }
-
-    #[test]
-    fn wake_poke_cuts_receive_timeout_short() {
-        // Shutdown latency: a blocked receiver returns as soon as it is
-        // poked, not after its (here huge) poll timeout.
-        let mut eps = cluster::<TestMsg>(2, model());
-        let (tx1, _) = eps.remove(1);
-        let (_, mut rx0) = eps.remove(0);
-        let t = std::thread::spawn(move || {
-            let started = std::time::Instant::now();
-            match rx0.recv_timeout(Duration::from_secs(30)) {
-                Recv::Timeout => started.elapsed(),
-                _ => panic!("expected early timeout from the wake poke"),
-            }
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        tx1.wake(0);
-        let waited = t.join().unwrap();
-        assert!(waited < Duration::from_secs(5), "poke ignored: {waited:?}");
+        assert!(rx0.try_recv().is_none(), "nothing was sent");
     }
 
     #[test]
@@ -583,8 +480,14 @@ mod tests {
         use lots_sim::{FaultPlan, SimDuration};
         let max = SimDuration::from_millis(5);
         let plain = cluster::<TestMsg>(2, model());
-        let faulty =
-            cluster_ext::<TestMsg>(2, model(), None, Some(Arc::new(FaultPlan::delays(7, max))));
+        let faulty = cluster_net::<TestMsg>(
+            2,
+            model(),
+            Topology::uniform(),
+            Vec::new(),
+            Some(Arc::new(FaultPlan::delays(7, max))),
+        )
+        .endpoints;
         let send = |eps: &[(NetSender<TestMsg>, NetReceiver<TestMsg>)]| {
             eps[1]
                 .0
@@ -601,11 +504,17 @@ mod tests {
     fn disconnected_when_all_senders_dropped() {
         let mut eps = cluster::<TestMsg>(2, model());
         let (_, mut rx0) = eps.remove(0);
+        eps[0]
+            .0
+            .send(0, TestMsg(5), Bytes::from_static(b"last"), SimInstant(0));
         drop(eps); // drops node 1's sender (and node 0's own sender clone)
-        match rx0.recv_timeout(Duration::from_secs(1)) {
-            Recv::Disconnected => {}
-            _ => panic!("expected disconnect"),
-        }
+                   // What was sent before the disconnect is still delivered, once;
+                   // after that the dead channel reads as empty.
+        assert_eq!(
+            rx0.try_recv().expect("sent before disconnect").msg,
+            TestMsg(5)
+        );
+        assert!(rx0.try_recv().is_none(), "expected disconnect");
     }
 
     #[test]
@@ -616,10 +525,7 @@ mod tests {
         tx2.send(0, TestMsg(9), Bytes::from(vec![0u8; 1000]), SimInstant(0));
         assert_eq!(tx2.stats().msgs_sent(), 1);
         assert!(tx2.stats().bytes_sent() >= 1000);
-        match rx0.recv_timeout(Duration::from_secs(1)) {
-            Recv::Message(_) => {}
-            _ => panic!(),
-        }
+        assert!(rx0.try_recv().is_some());
     }
 
     #[test]
@@ -630,7 +536,7 @@ mod tests {
             bandwidth_bps: 1_000_000,
         };
         let topo = Topology::uniform().with_link(1, 0, slow);
-        let net = cluster_net::<TestMsg>(3, model(), topo, None, None);
+        let net = cluster_net::<TestMsg>(3, model(), topo, Vec::new(), None);
         let eps = net.endpoints;
         let t_slow = eps[1]
             .0
@@ -653,8 +559,13 @@ mod tests {
             loss_permille: 400,
             ..FaultPlan::default()
         };
-        let net =
-            cluster_net::<TestMsg>(2, model(), Topology::uniform(), None, Some(Arc::new(plan)));
+        let net = cluster_net::<TestMsg>(
+            2,
+            model(),
+            Topology::uniform(),
+            Vec::new(),
+            Some(Arc::new(plan)),
+        );
         let mut eps = net.endpoints;
         let (tx1, _) = eps.remove(1);
         let (_, mut rx0) = eps.remove(0);
@@ -667,10 +578,10 @@ mod tests {
             );
         }
         for _ in 0..50 {
-            match rx0.recv_timeout(Duration::from_secs(5)) {
-                Recv::Message(_) => {}
-                _ => panic!("retransmission must deliver every message"),
-            }
+            assert!(
+                rx0.try_recv().is_some(),
+                "retransmission must deliver every message"
+            );
         }
         assert!(tx1.stats().msgs_retransmitted() > 0, "40% loss, 50 msgs");
         assert_eq!(tx1.stats().msgs_dropped(), 0);
@@ -689,8 +600,13 @@ mod tests {
             },
             ..FaultPlan::default()
         };
-        let net =
-            cluster_net::<TestMsg>(2, model(), Topology::uniform(), None, Some(Arc::new(plan)));
+        let net = cluster_net::<TestMsg>(
+            2,
+            model(),
+            Topology::uniform(),
+            Vec::new(),
+            Some(Arc::new(plan)),
+        );
         let mut eps = net.endpoints;
         let (tx1, _) = eps.remove(1);
         let (_, mut rx0) = eps.remove(0);
@@ -698,7 +614,7 @@ mod tests {
             tx1.send(0, TestMsg(k), Bytes::from_static(b"y"), SimInstant(0));
         }
         let mut got = 0;
-        while let Recv::Message(_) = rx0.recv_timeout(Duration::from_millis(50)) {
+        while rx0.try_recv().is_some() {
             got += 1;
         }
         let dropped = tx1.stats().msgs_dropped();
@@ -718,8 +634,13 @@ mod tests {
             dup_permille: 900,
             ..FaultPlan::default()
         };
-        let net =
-            cluster_net::<TestMsg>(2, model(), Topology::uniform(), None, Some(Arc::new(plan)));
+        let net = cluster_net::<TestMsg>(
+            2,
+            model(),
+            Topology::uniform(),
+            Vec::new(),
+            Some(Arc::new(plan)),
+        );
         let mut eps = net.endpoints;
         let (tx1, _) = eps.remove(1);
         let (_, mut rx0) = eps.remove(0);
@@ -735,7 +656,7 @@ mod tests {
             );
         }
         let mut got = 0;
-        while let Recv::Message(env) = rx0.recv_timeout(Duration::from_millis(100)) {
+        while let Some(env) = rx0.try_recv() {
             assert_eq!(env.payload[0], env.msg.0 as u8);
             got += 1;
         }
@@ -754,8 +675,13 @@ mod tests {
             reorder_window: SimDuration::from_millis(2),
             ..FaultPlan::default()
         };
-        let net =
-            cluster_net::<TestMsg>(2, model(), Topology::uniform(), None, Some(Arc::new(plan)));
+        let net = cluster_net::<TestMsg>(
+            2,
+            model(),
+            Topology::uniform(),
+            Vec::new(),
+            Some(Arc::new(plan)),
+        );
         let mut eps = net.endpoints;
         let (tx1, _) = eps.remove(1);
         let (_, mut rx0) = eps.remove(0);
@@ -770,10 +696,10 @@ mod tests {
             "hold-back delays must invert some arrival order"
         );
         for _ in 0..40 {
-            match rx0.recv_timeout(Duration::from_secs(5)) {
-                Recv::Message(_) => {}
-                _ => panic!("reordering must not lose messages"),
-            }
+            assert!(
+                rx0.try_recv().is_some(),
+                "reordering must not lose messages"
+            );
         }
         assert_eq!(rx0.pending_reassemblies(), 0);
     }
@@ -789,8 +715,13 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let net =
-            cluster_net::<TestMsg>(2, model(), Topology::uniform(), None, Some(Arc::new(plan)));
+        let net = cluster_net::<TestMsg>(
+            2,
+            model(),
+            Topology::uniform(),
+            Vec::new(),
+            Some(Arc::new(plan)),
+        );
         let mut eps = net.endpoints;
         let (tx1, _) = eps.remove(1);
         let (_, mut rx0) = eps.remove(0);
@@ -800,10 +731,8 @@ mod tests {
             "delivery {} must wait out the partition",
             t.arrival
         );
-        match rx0.recv_timeout(Duration::from_secs(1)) {
-            Recv::Message(env) => assert_eq!(env.arrival, t.arrival),
-            _ => panic!("expected delivery after heal"),
-        }
+        let env = rx0.try_recv().expect("expected delivery after heal");
+        assert_eq!(env.arrival, t.arrival);
         assert!(tx1.stats().msgs_retransmitted() > 0);
     }
 
@@ -834,18 +763,16 @@ mod tests {
                 }
             }));
         }
-        let mut got = 0;
-        while got < 75 {
-            match rx0.recv_timeout(Duration::from_secs(5)) {
-                Recv::Message(env) => {
-                    assert_eq!(env.payload.len(), 6000);
-                    got += 1;
-                }
-                _ => panic!("lost messages: only {got}"),
-            }
-        }
         for h in handles {
             h.join().unwrap();
+        }
+        let mut got = 0;
+        while got < 75 {
+            let env = rx0
+                .try_recv()
+                .unwrap_or_else(|| panic!("lost messages: only {got}"));
+            assert_eq!(env.payload.len(), 6000);
+            got += 1;
         }
     }
 }

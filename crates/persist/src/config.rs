@@ -53,7 +53,7 @@ impl Default for CompactionConfig {
 }
 
 /// Full persistence configuration, carried by the runtime options
-/// (`LotsConfig::persist` / `JiaOptions::persist`). Absent (`None`)
+/// (`LotsConfig::persist` / `Jia::persist`). Absent (`None`)
 /// persistence is off and the run is bit-identical to a build without
 /// this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]

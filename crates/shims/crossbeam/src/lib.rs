@@ -3,14 +3,13 @@
 //! `Mutex<VecDeque>` + `Condvar`. Semantics match crossbeam for the
 //! subset used here: cloneable `Sender`/`Receiver` (both `Send + Sync`),
 //! disconnection when the last peer on the other side drops, FIFO per
-//! queue, and `recv_timeout` that distinguishes `Timeout` from
+//! queue, and `try_recv` that distinguishes `Empty` from
 //! `Disconnected`.
 
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
     use std::sync::{Arc, Condvar, Mutex};
-    use std::time::{Duration, Instant};
 
     struct Shared<T> {
         queue: Mutex<State<T>>,
@@ -68,12 +67,6 @@ pub mod channel {
         Disconnected,
     }
 
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum RecvTimeoutError {
-        Timeout,
-        Disconnected,
-    }
-
     impl<T> fmt::Display for SendError<T> {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             write!(f, "sending on a disconnected channel")
@@ -83,15 +76,6 @@ pub mod channel {
     impl fmt::Display for RecvError {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             write!(f, "receiving on an empty and disconnected channel")
-        }
-    }
-
-    impl fmt::Display for RecvTimeoutError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                RecvTimeoutError::Timeout => write!(f, "timed out waiting on receive"),
-                RecvTimeoutError::Disconnected => write!(f, "channel disconnected"),
-            }
         }
     }
 
@@ -134,39 +118,6 @@ pub mod channel {
                 Err(TryRecvError::Disconnected)
             } else {
                 Err(TryRecvError::Empty)
-            }
-        }
-
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            self.recv_deadline(Instant::now() + timeout)
-        }
-
-        pub fn recv_deadline(&self, deadline: Instant) -> Result<T, RecvTimeoutError> {
-            let mut st = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(v) = st.items.pop_front() {
-                    return Ok(v);
-                }
-                if st.senders == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                let (g, res) = self
-                    .shared
-                    .ready
-                    .wait_timeout(st, deadline - now)
-                    .unwrap_or_else(|e| e.into_inner());
-                st = g;
-                if res.timed_out() && st.items.is_empty() {
-                    return if st.senders == 0 {
-                        Err(RecvTimeoutError::Disconnected)
-                    } else {
-                        Err(RecvTimeoutError::Timeout)
-                    };
-                }
             }
         }
     }
@@ -238,15 +189,9 @@ pub mod channel {
         #[test]
         fn timeout_vs_disconnected() {
             let (tx, rx) = unbounded::<i32>();
-            assert_eq!(
-                rx.recv_timeout(Duration::from_millis(10)),
-                Err(RecvTimeoutError::Timeout)
-            );
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
             drop(tx);
-            assert_eq!(
-                rx.recv_timeout(Duration::from_millis(10)),
-                Err(RecvTimeoutError::Disconnected)
-            );
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
         }
 
         #[test]

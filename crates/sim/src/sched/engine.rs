@@ -142,9 +142,8 @@ impl std::fmt::Debug for SchedHandle {
 }
 
 impl Scheduler {
-    /// A fresh engine. `mode` must be a virtual-time mode
-    /// ([`SchedulerMode::FreeRunning`] runs without a scheduler);
-    /// `lookahead` is the network's minimum link latency — see
+    /// A fresh engine running `mode`; `lookahead` is the network's
+    /// minimum link latency — see
     /// [`crate::cost::NetModel::min_latency`].
     pub fn new(mode: SchedulerMode, lookahead: SimDuration) -> Arc<Scheduler> {
         let cap = match mode {
@@ -154,9 +153,6 @@ impl Scheduler {
             // be a *schedule* at all.
             SchedulerMode::Deterministic | SchedulerMode::Explore { .. } => 1,
             SchedulerMode::Parallel { workers } => workers.max(1),
-            SchedulerMode::FreeRunning => {
-                panic!("free-running mode does not use the virtual-time engine")
-            }
         };
         Arc::new(Scheduler {
             state: Mutex::new(State {
@@ -267,7 +263,7 @@ impl Scheduler {
                 // Count the epoch only while application tasks are
                 // still live. After the last one finishes, remaining
                 // batches serve daemon teardown, driven by wakes from
-                // *outside* the engine (the runtime's shutdown pokes)
+                // *outside* the engine (the harness's shutdown wakes)
                 // — how those coalesce into batches depends on host
                 // timing, so counting them would break the counter's
                 // cross-engine determinism.
@@ -311,7 +307,7 @@ impl Scheduler {
     fn refill(st: &mut State, cap: usize) {
         // Like epochs, turns are only counted while application tasks
         // are live: teardown dispatches of daemons are driven by the
-        // runtime's external shutdown pokes, whose coalescing into
+        // harness's external shutdown wakes, whose coalescing into
         // turns depends on host timing.
         let live = st
             .tasks

@@ -60,7 +60,10 @@ pub use engine::{SchedHandle, Scheduler};
 pub use explore::{Choice, ScheduleScript};
 pub use task::BlockReason;
 
-/// Which execution model a cluster runtime should use.
+/// How the virtual-time engine dispatches a cluster run's tasks.
+/// Every mode runs the same epoch engine over the same batches; they
+/// differ only in how many batch members run at once and in the
+/// within-epoch dispatch order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerMode {
     /// Sequential conservative DES: epochs are drained one task at a
@@ -86,19 +89,6 @@ pub enum SchedulerMode {
     /// under this mode behaves like [`SchedulerMode::Deterministic`]
     /// with a permuted within-epoch order.
     Explore { max_schedules: usize },
-    /// The pre-PR-3 model: free-running threads, wall-clock receive
-    /// timeouts, OS-scheduled condvar wakes. Virtual times vary a few
-    /// percent run-to-run. Retained for host-nanosecond microbenches,
-    /// where cooperative switching would pollute wall-time readings.
-    FreeRunning,
-}
-
-impl SchedulerMode {
-    /// Whether this mode runs on the virtual-time epoch engine
-    /// (everything except [`SchedulerMode::FreeRunning`]).
-    pub fn uses_engine(&self) -> bool {
-        !matches!(self, SchedulerMode::FreeRunning)
-    }
 }
 
 #[cfg(test)]

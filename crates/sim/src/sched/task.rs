@@ -47,7 +47,7 @@ pub enum BlockReason {
     /// issue a lock request before the gated grant completes.
     Barrier,
     /// Idle daemon (comm task with no buffered messages). Parked at
-    /// virtual infinity until a message or the shutdown poke arrives.
+    /// virtual infinity until a message or the shutdown wake arrives.
     Idle,
 }
 

@@ -450,7 +450,7 @@ impl NodeStats {
 }
 
 /// Whole-run counters from the virtual-time scheduler, reported once
-/// per cluster run (`None`/empty under free-running mode).
+/// per cluster run.
 ///
 /// `turns`, `wakes`, and `epochs` are pure functions of the simulated
 /// schedule: identical across `Deterministic` and `Parallel` runs of

@@ -247,17 +247,6 @@ fn p16_sor_determinism_smoke() {
     assert!(a.time_sync > SimDuration::ZERO);
 }
 
-/// Free-running mode still computes the right answers (times may vary).
-#[test]
-fn free_running_mode_remains_correct() {
-    let mut c = cfg(System::Lots, 4, 42);
-    c.scheduler = lots::sim::SchedulerMode::FreeRunning;
-    let out = run_app(&c, SOR_SMALL);
-    let det = run_app(&cfg(System::Lots, 4, 42), SOR_SMALL);
-    assert_eq!(out.combined.checksum, det.combined.checksum);
-    assert_eq!(out.access_checks, det.access_checks);
-}
-
 // ---------------------------------------------------------------------
 // PR 6: the conservative parallel engine vs. the sequential oracle.
 // ---------------------------------------------------------------------
@@ -486,8 +475,8 @@ fn p256_parallel_matches_oracle_smoke() {
 
 #[test]
 fn deterministic_sync_wait_is_attributed() {
-    // Sanity: the turnstile still charges SyncWait like the condvar
-    // path did (the accounting is analytic, not wall-clock).
+    // Sanity: the engine charges SyncWait analytically, not by
+    // wall clock.
     let out = run_app(&cfg(System::Lots, 4, 0), SOR_SMALL);
     assert!(out.time_sync > SimDuration::ZERO);
     let _ = TimeCategory::SyncWait; // category stays public API
